@@ -21,14 +21,10 @@
 //! (even mid-append; the torn tail is truncated on reopen), rerun the
 //! same `--resume` command, and only the missing work repeats.
 
-use csd_bench::suite::{
-    journal_meta, resolve_jobs, run_filtered, run_filtered_resumable, run_suite,
-    run_suite_resumable, SuiteConfig, SuiteReport,
-};
+use csd_bench::suite::{local_backend, open_journal, run_grid, SuiteConfig};
 use csd_bench::tasks::{build_tasks, filter_tasks};
-use csd_telemetry::{write_atomic, RunJournal};
-use std::path::PathBuf;
-use std::sync::Mutex;
+use csd_exp::resolve_jobs;
+use csd_telemetry::write_atomic;
 use std::time::Instant;
 
 fn main() {
@@ -122,117 +118,48 @@ fn main() {
         return;
     }
 
-    let run_journal = open_journal(journal, resume, &journal_dir, &cfg, filter.as_deref());
-
-    if let Some(f) = filter {
-        let matched = filter_tasks(&cfg, &f).len();
-        if matched == 0 {
-            die(&format!("--filter {f:?} matches no task (try --list)"));
-        }
-        eprintln!(
-            "suite: profile={} root_seed={:#x} jobs={} filter={f:?} tasks={matched}",
-            cfg.profile,
-            cfg.root_seed,
-            resolve_jobs(cfg.jobs)
-        );
-        let t0 = Instant::now();
-        let doc = match &run_journal {
-            Some(j) => run_filtered_resumable(&cfg, &f, j).unwrap_or_else(|e| die(&e)),
-            None => run_filtered(&cfg, &f),
-        };
-        write_artifact(&out_path, doc.pretty().as_bytes());
-        eprintln!(
-            "suite: wrote {out_path} in {:.1}s",
-            t0.elapsed().as_secs_f64()
-        );
-        return;
-    }
+    let run_journal = open_journal(
+        "suite",
+        journal,
+        resume,
+        &journal_dir,
+        &cfg,
+        filter.as_deref(),
+    )
+    .unwrap_or_else(|e| die(&e));
 
     eprintln!(
-        "suite: profile={} root_seed={:#x} jobs={}",
+        "suite: profile={} root_seed={:#x} jobs={}{}",
         cfg.profile,
         cfg.root_seed,
-        resolve_jobs(cfg.jobs)
+        resolve_jobs(cfg.jobs),
+        filter
+            .as_deref()
+            .map(|f| format!(" filter={f:?}"))
+            .unwrap_or_default()
     );
     let t0 = Instant::now();
-    let report: SuiteReport = match &run_journal {
-        Some(j) => run_suite_resumable(&cfg, j).unwrap_or_else(|e| die(&e)),
-        None => run_suite(&cfg),
-    };
-    let elapsed = t0.elapsed();
-
-    write_artifact(&out_path, report.json.pretty().as_bytes());
-    eprintln!("suite: wrote {out_path} in {:.1}s", elapsed.as_secs_f64());
-
-    for c in &report.checks {
-        eprintln!(
-            "  [{}] {:<42} {:>12.5}  in [{}, {}]",
-            if c.pass() { "ok" } else { "FAIL" },
-            c.name,
-            c.value,
-            c.lo,
-            c.hi
-        );
-    }
-    let failed = report.failed_checks();
-    if !failed.is_empty() {
-        eprintln!(
-            "suite: {} check(s) outside tolerance: {}",
-            failed.len(),
-            failed.join(", ")
-        );
+    let output = run_grid(
+        &cfg,
+        filter.as_deref(),
+        run_journal.as_ref(),
+        local_backend(&cfg),
+    )
+    .unwrap_or_else(|e| die(&e));
+    // Atomic write: a failure (`ENOSPC` included) exits non-zero with the
+    // path and cause instead of leaving a torn file.
+    write_atomic(
+        std::path::Path::new(&out_path),
+        output.json().pretty().as_bytes(),
+    )
+    .unwrap_or_else(|e| die(&e.to_string()));
+    eprintln!(
+        "suite: wrote {out_path} in {:.1}s",
+        t0.elapsed().as_secs_f64()
+    );
+    if !output.print_checks("suite") {
         std::process::exit(1);
     }
-}
-
-/// Opens (or creates) the run journal when journaling was requested.
-/// `--resume ID` names the journal explicitly; bare `--journal` derives
-/// a fresh id from the config and pid and prints it, so the resume
-/// command after a crash is copy-pasteable from the log.
-fn open_journal(
-    journal: bool,
-    resume: Option<String>,
-    journal_dir: &str,
-    cfg: &SuiteConfig,
-    filter: Option<&str>,
-) -> Option<Mutex<RunJournal>> {
-    if !journal && resume.is_none() {
-        return None;
-    }
-    let id = resume.unwrap_or_else(|| {
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        format!(
-            "{}-{:x}-{t}-{}",
-            cfg.profile,
-            cfg.root_seed,
-            std::process::id()
-        )
-    });
-    let path = PathBuf::from(journal_dir).join(format!("{id}.journal"));
-    let meta = journal_meta(cfg, filter);
-    let rj = RunJournal::open(&path, &meta).unwrap_or_else(|e| die(&e.to_string()));
-    if rj.truncated() > 0 {
-        eprintln!(
-            "suite: journal {} had a torn tail; truncated {} byte(s)",
-            path.display(),
-            rj.truncated()
-        );
-    }
-    eprintln!(
-        "suite: journaling to {} ({} completed task(s) replayed; resume with --resume {id})",
-        path.display(),
-        rj.replayed().len()
-    );
-    Some(Mutex::new(rj))
-}
-
-/// Writes an artifact atomically; any failure (`ENOSPC` included) exits
-/// non-zero with the path and cause instead of leaving a torn file.
-fn write_artifact(path: &str, bytes: &[u8]) {
-    write_atomic(std::path::Path::new(path), bytes).unwrap_or_else(|e| die(&e.to_string()));
 }
 
 fn die(msg: &str) -> ! {

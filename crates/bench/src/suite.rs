@@ -1,9 +1,11 @@
 //! The parallel experiment-suite runner behind `--bin suite`.
 //!
 //! The task grid itself lives in [`crate::tasks`] (shared with the
-//! `csd-serve` daemon); this module runs tasks on a `std::thread` worker
-//! pool and assembles one deterministic JSON report
-//! (`BENCH_suite.json`).
+//! `csd-serve` daemon). This module holds the one grid driver,
+//! [`run_grid`]: it selects tasks, replays and appends the write-ahead
+//! journal, hands the pending tasks to a backend (in-process threads via
+//! [`local_backend`], or `csd-cluster`'s workers), and assembles one
+//! deterministic JSON report (`BENCH_suite.json`).
 //!
 //! Determinism contract: each task derives its own input seed from the
 //! suite's root seed and the task's *label* (never from scheduling
@@ -13,10 +15,11 @@
 
 use crate::mean;
 use crate::tasks::{build_tasks, filter_tasks, pipelines, victim_names, TaskDef};
+use csd_exp::{resolve_jobs, run_ordered};
 use csd_telemetry::{Json, RunJournal, ToJson};
 use csd_workloads::specs;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Knobs for one suite invocation.
 #[derive(Debug, Clone)]
@@ -142,62 +145,242 @@ pub struct SuiteReport {
     pub checks: Vec<Check>,
 }
 
-impl SuiteReport {
-    /// Names of the checks whose value fell outside its band.
-    pub fn failed_checks(&self) -> Vec<&'static str> {
-        self.checks
+/// What a grid run produced.
+#[derive(Debug, Clone)]
+pub enum GridOutput {
+    /// The full-grid report (figure summaries, checks).
+    Full(SuiteReport),
+    /// The reduced document of a filtered run (see [`filtered_report`]).
+    Filtered(Json),
+}
+
+impl GridOutput {
+    /// The report JSON, whichever shape it is.
+    pub fn json(&self) -> &Json {
+        match self {
+            GridOutput::Full(r) => &r.json,
+            GridOutput::Filtered(j) => j,
+        }
+    }
+
+    /// Prints every tolerance check to stderr, then a summary line
+    /// prefixed with `tool` if any failed. Returns whether all passed; a
+    /// filtered run has no checks and always passes.
+    pub fn print_checks(&self, tool: &str) -> bool {
+        let GridOutput::Full(report) = self else {
+            return true;
+        };
+        for c in &report.checks {
+            eprintln!(
+                "  [{}] {:<42} {:>12.5}  in [{}, {}]",
+                if c.pass() { "ok" } else { "FAIL" },
+                c.name,
+                c.value,
+                c.lo,
+                c.hi
+            );
+        }
+        let failed: Vec<&str> = report
+            .checks
             .iter()
             .filter(|c| !c.pass())
             .map(|c| c.name)
-            .collect()
+            .collect();
+        if !failed.is_empty() {
+            eprintln!(
+                "{tool}: {} check(s) outside tolerance: {}",
+                failed.len(),
+                failed.join(", ")
+            );
+        }
+        failed.is_empty()
     }
 }
 
-/// Runs `tasks` on a `jobs`-worker pool (see [`resolve_jobs`]) and
-/// returns their results in task order, each task seeded from
-/// `root_seed` by label. Deterministic at any worker count.
+/// The completion callback [`run_grid`] hands its backend: call it with
+/// `(grid index, result)` for every task the backend finishes. It
+/// journals the result, then publishes it. A second call for the same
+/// task (a hedged duplicate) must carry identical bytes. An `Err` means
+/// the run must stop: the backend claims no further work and returns
+/// the error.
+pub type Complete<'a> = dyn Fn(usize, Json) -> Result<(), String> + Sync + 'a;
+
+/// Runs the grid, or the tasks whose label contains `filter`, and
+/// assembles its report. This is the one grid driver: the `suite` CLI,
+/// the `csd-serve` task endpoint and `csd-cluster` all go through it,
+/// and only `backend` differs between them.
 ///
-/// # Panics
+/// The driver owns everything but the running:
 ///
-/// Panics if a worker thread panics (the underlying experiment faulted).
-pub fn run_tasks(tasks: &[TaskDef], root_seed: u64, jobs: usize) -> Vec<Json> {
-    let n = tasks.len();
-    let slots: Vec<Mutex<Option<Json>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = resolve_jobs(jobs).min(n.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let t = &tasks[i];
-                let out = t.run(t.seed(root_seed));
-                *slots[i].lock().unwrap() = Some(out);
-            });
+/// - task selection, refusing a filter that matches nothing;
+/// - journal replay (`replay_into_slots`): replayed tasks are never
+///   handed to the backend;
+/// - journal before publish: the [`Complete`] callback appends each
+///   result to `journal` before it stores it, so a result the run has
+///   counted is one a crash cannot lose;
+/// - the grid-order merge, and the full report ([`assemble_report`])
+///   or, under a filter, the reduced one ([`filtered_report`]).
+///
+/// `backend` receives the selected tasks, the indices still to run and
+/// the callback, and must have called the callback for every pending
+/// index when it returns `Ok`. [`local_backend`] runs tasks in this
+/// process; `csd-cluster` posts them to `csd-serve` workers. The output
+/// bytes are a pure function of `(cfg, filter)`: no backend, worker
+/// count or resume point changes them.
+///
+/// # Errors
+///
+/// A filter matching no task, an untrustworthy journal, a failed
+/// journal append, a backend failure, or a task left without a result.
+pub fn run_grid<B>(
+    cfg: &SuiteConfig,
+    filter: Option<&str>,
+    journal: Option<&Mutex<RunJournal>>,
+    backend: B,
+) -> Result<GridOutput, String>
+where
+    B: FnOnce(&[TaskDef], &[usize], &Complete<'_>) -> Result<(), String>,
+{
+    let tasks = match filter {
+        Some(f) => filter_tasks(cfg, f),
+        None => build_tasks(cfg),
+    };
+    if tasks.is_empty() {
+        return Err(format!("filter {:?} matches no task", filter.unwrap_or("")));
+    }
+    let slots = match journal {
+        Some(j) => replay_into_slots(&tasks, cfg.root_seed, &relock(j))?,
+        None => vec![None; tasks.len()],
+    };
+    let pending: Vec<usize> = (0..tasks.len()).filter(|&i| slots[i].is_none()).collect();
+    let slots = Mutex::new(slots);
+    let complete = |i: usize, value: Json| -> Result<(), String> {
+        let t = &tasks[i];
+        if let Some(j) = journal {
+            relock(j)
+                .record(t.label(), t.seed(cfg.root_seed), value.dump().as_bytes())
+                .map_err(|e| format!("journal append for {:?}: {e}", t.label()))?;
         }
-    });
-    slots
+        let mut slots = relock(&slots);
+        if slots[i]
+            .as_ref()
+            .is_some_and(|prev| prev.dump() != value.dump())
+        {
+            return Err(format!(
+                "task {:?} completed twice with different results",
+                t.label()
+            ));
+        }
+        slots[i] = Some(value);
+        Ok(())
+    };
+    backend(&tasks, &pending, &complete)?;
+    let values = slots
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("worker completed every claimed task")
-        })
-        .collect()
+        .zip(&tasks)
+        .map(|(slot, t)| slot.ok_or_else(|| format!("task {:?} has no result", t.label())))
+        .collect::<Result<Vec<Json>, String>>()?;
+    Ok(match filter {
+        Some(f) => GridOutput::Filtered(filtered_report(cfg, f, values)),
+        None => GridOutput::Full(assemble_report(cfg, values)),
+    })
 }
 
-/// Runs the whole grid on `cfg.jobs` worker threads and assembles the
-/// report. Deterministic for a fixed config (any job count).
+/// The in-process [`run_grid`] backend: runs the pending tasks on
+/// `cfg.jobs` threads ([`resolve_jobs`]) through the ordered executor,
+/// each seeded from `cfg.root_seed` by label.
+pub fn local_backend(
+    cfg: &SuiteConfig,
+) -> impl FnOnce(&[TaskDef], &[usize], &Complete<'_>) -> Result<(), String> + '_ {
+    move |tasks, pending, complete| {
+        run_ordered(pending.len(), resolve_jobs(cfg.jobs), |k| {
+            let t = &tasks[pending[k]];
+            complete(pending[k], t.run(t.seed(cfg.root_seed)))
+        })
+        .map(drop)
+    }
+}
+
+/// Runs the whole grid in this process and assembles the report.
+/// Deterministic for a fixed config (any job count).
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (the underlying experiment faulted).
+/// Panics if a task panics (the underlying experiment faulted).
 pub fn run_suite(cfg: &SuiteConfig) -> SuiteReport {
-    let tasks = build_tasks(cfg);
-    let values = run_tasks(&tasks, cfg.root_seed, cfg.jobs);
-    assemble_report(cfg, values)
+    match run_grid(cfg, None, None, local_backend(cfg)) {
+        Ok(GridOutput::Full(report)) => report,
+        other => unreachable!("an unjournaled full-grid run yields its report: {other:?}"),
+    }
+}
+
+/// Runs the label-matched subset of the grid in this process and returns
+/// the reduced report: no figure summaries or tolerance checks, just each
+/// task's label, seed, and result in grid order. The `csd-serve` daemon
+/// emits the identical document for a single-task request, which is what
+/// lets CI byte-compare a served experiment against `suite --filter`.
+///
+/// # Panics
+///
+/// Panics if `filter` matches no task, or a task panics.
+pub fn run_filtered(cfg: &SuiteConfig, filter: &str) -> Json {
+    match run_grid(cfg, Some(filter), None, local_backend(cfg)) {
+        Ok(out) => out.json().clone(),
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// Opens (or creates) the run journal of a `suite` or `cluster`
+/// invocation, when `--journal` or `--resume` asked for one. `resume`
+/// names the journal explicitly; bare `--journal` derives a fresh id
+/// from the config and pid. The notices go to stderr under `tool`'s
+/// prefix and print the `--resume` id, so the resume command after a
+/// crash is copy-pasteable from the log.
+///
+/// # Errors
+///
+/// The journal cannot be created or read, or belongs to a different run.
+pub fn open_journal(
+    tool: &str,
+    journal: bool,
+    resume: Option<String>,
+    journal_dir: &str,
+    cfg: &SuiteConfig,
+    filter: Option<&str>,
+) -> Result<Option<Mutex<RunJournal>>, String> {
+    if !journal && resume.is_none() {
+        return Ok(None);
+    }
+    let id = resume.unwrap_or_else(|| {
+        let t = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs());
+        let pid = std::process::id();
+        format!("{}-{:x}-{t}-{pid}", cfg.profile, cfg.root_seed)
+    });
+    let path = std::path::Path::new(journal_dir).join(format!("{id}.journal"));
+    let rj = RunJournal::open(&path, &journal_meta(cfg, filter)).map_err(|e| e.to_string())?;
+    if rj.truncated() > 0 {
+        eprintln!(
+            "{tool}: journal {} had a torn tail; truncated {} byte(s)",
+            path.display(),
+            rj.truncated()
+        );
+    }
+    eprintln!(
+        "{tool}: journaling to {} ({} completed task(s) replayed; resume with --resume {id})",
+        path.display(),
+        rj.replayed().len()
+    );
+    Ok(Some(Mutex::new(rj)))
+}
+
+/// Locks `m`, recovering a poisoned guard: the journal and the result
+/// slots hold no invariant a panicking task could break halfway.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The journal meta document pinning a grid run's determinism domain:
@@ -227,171 +410,44 @@ pub fn journal_meta(cfg: &SuiteConfig, filter: Option<&str>) -> Json {
 /// A record naming an unknown label, the wrong seed, or unparseable
 /// result bytes — the journal cannot be trusted and the caller should
 /// delete it and rerun.
-pub fn replay_into_slots(
+fn replay_into_slots(
     tasks: &[TaskDef],
     root_seed: u64,
     journal: &RunJournal,
 ) -> Result<Vec<Option<Json>>, String> {
-    let mut slots: Vec<Option<Json>> = (0..tasks.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<Json>> = vec![None; tasks.len()];
     for rec in journal.replayed() {
+        let bad = |what: String| {
+            let path = journal.path().display();
+            format!("journal {path}: task {:?} {what}", rec.label)
+        };
         let Some(i) = tasks.iter().position(|t| t.label() == rec.label) else {
-            return Err(format!(
-                "journal {}: replayed task {:?} is not in this grid",
-                journal.path().display(),
-                rec.label
-            ));
+            return Err(bad("is not in this grid".into()));
         };
         let expected = tasks[i].seed(root_seed);
         if rec.seed != expected {
-            return Err(format!(
-                "journal {}: task {:?} recorded seed {:#x} != expected {expected:#x}",
-                journal.path().display(),
-                rec.label,
-                rec.seed
-            ));
+            let seed = rec.seed;
+            return Err(bad(format!(
+                "recorded seed {seed:#x} != expected {expected:#x}"
+            )));
         }
-        let text = std::str::from_utf8(&rec.bytes).map_err(|_| {
-            format!(
-                "journal {}: task {:?} result is not UTF-8",
-                journal.path().display(),
-                rec.label
-            )
-        })?;
-        let value = Json::parse(text).map_err(|e| {
-            format!(
-                "journal {}: task {:?} result is not JSON: {e}",
-                journal.path().display(),
-                rec.label
-            )
-        })?;
-        if let Some(prev) = &slots[i] {
-            if prev.dump() != value.dump() {
-                return Err(format!(
-                    "journal {}: task {:?} recorded twice with different results",
-                    journal.path().display(),
-                    rec.label
-                ));
-            }
+        let text =
+            std::str::from_utf8(&rec.bytes).map_err(|_| bad("result is not UTF-8".into()))?;
+        let value = Json::parse(text).map_err(|e| bad(format!("result is not JSON: {e}")))?;
+        if slots[i]
+            .as_ref()
+            .is_some_and(|prev| prev.dump() != value.dump())
+        {
+            return Err(bad("recorded twice with different results".into()));
         }
         slots[i] = Some(value);
     }
     Ok(slots)
 }
 
-/// [`run_tasks`] with a write-ahead journal: replayed tasks are skipped
-/// outright, every fresh completion is durably appended before it
-/// counts, and the returned values are byte-equivalent to an
-/// uninterrupted [`run_tasks`] — the resumed artifact `cmp`s clean.
-///
-/// # Errors
-///
-/// An untrustworthy journal (see [`replay_into_slots`]) or a journal
-/// append failure (`ENOSPC` and friends) — the durability contract is
-/// broken, so the run stops instead of continuing unjournaled.
-pub fn run_tasks_resumable(
-    tasks: &[TaskDef],
-    root_seed: u64,
-    jobs: usize,
-    journal: &Mutex<RunJournal>,
-) -> Result<Vec<Json>, String> {
-    let prefilled = {
-        let j = journal
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        replay_into_slots(tasks, root_seed, &j)?
-    };
-    let remaining: Vec<usize> = prefilled
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i))
-        .collect();
-    let slots: Vec<Mutex<Option<Json>>> = prefilled.into_iter().map(Mutex::new).collect();
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let error: Mutex<Option<String>> = Mutex::new(None);
-    let workers = resolve_jobs(jobs).min(remaining.len().max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= remaining.len() || failed.load(Ordering::SeqCst) {
-                    break;
-                }
-                let i = remaining[k];
-                let t = &tasks[i];
-                let seed = t.seed(root_seed);
-                let out = t.run(seed);
-                // Journal before publishing: a completion the caller can
-                // observe is a completion a crash cannot lose.
-                let appended = journal
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .record(t.label(), seed, out.dump().as_bytes());
-                if let Err(e) = appended {
-                    failed.store(true, Ordering::SeqCst);
-                    error
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .get_or_insert_with(|| format!("journal append for {:?}: {e}", t.label()));
-                    break;
-                }
-                *slots[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
-            });
-        }
-    });
-    if let Some(msg) = error
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()
-    {
-        return Err(msg);
-    }
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .ok_or_else(|| "worker exited without completing a claimed task".to_string())
-        })
-        .collect()
-}
-
-/// [`run_suite`] under a write-ahead journal (see
-/// [`run_tasks_resumable`]): byte-identical to the uninterrupted run.
-///
-/// # Errors
-///
-/// Journal replay or append failures.
-pub fn run_suite_resumable(
-    cfg: &SuiteConfig,
-    journal: &Mutex<RunJournal>,
-) -> Result<SuiteReport, String> {
-    let tasks = build_tasks(cfg);
-    let values = run_tasks_resumable(&tasks, cfg.root_seed, cfg.jobs, journal)?;
-    Ok(assemble_report(cfg, values))
-}
-
-/// [`run_filtered`] under a write-ahead journal: byte-identical to the
-/// uninterrupted filtered run.
-///
-/// # Errors
-///
-/// Journal replay or append failures.
-pub fn run_filtered_resumable(
-    cfg: &SuiteConfig,
-    filter: &str,
-    journal: &Mutex<RunJournal>,
-) -> Result<Json, String> {
-    let tasks = filter_tasks(cfg, filter);
-    let values = run_tasks_resumable(&tasks, cfg.root_seed, cfg.jobs, journal)?;
-    Ok(filtered_report(cfg, filter, values))
-}
-
 /// Assembles the full suite report from per-task result values in grid
-/// order (what [`run_tasks`] returns for [`build_tasks`]). Split out
-/// from [`run_suite`] so a distributed runner — `csd-cluster` collects
+/// order (what [`run_grid`] collects for [`build_tasks`]). Split out
+/// from [`run_grid`] so a distributed runner — `csd-cluster` collects
 /// the same values over HTTP from many daemons — reassembles the exact
 /// CLI artifact: the report is a pure function of `(cfg, values)`.
 ///
@@ -413,19 +469,8 @@ pub fn assemble_report(cfg: &SuiteConfig, values: Vec<Json>) -> SuiteReport {
     assemble(cfg, &results)
 }
 
-/// Runs the label-matched subset of the grid and returns a reduced
-/// report: no figure summaries or tolerance checks, just each task's
-/// label, seed, and result in grid order. The `csd-serve` daemon emits
-/// the identical document for a single-task request, which is what lets
-/// CI byte-compare a served experiment against `suite --filter`.
-pub fn run_filtered(cfg: &SuiteConfig, filter: &str) -> Json {
-    let tasks = filter_tasks(cfg, filter);
-    let values = run_tasks(&tasks, cfg.root_seed, cfg.jobs);
-    filtered_report(cfg, filter, values)
-}
-
 /// Builds the reduced `--filter` document from result values in
-/// filtered-grid order (what [`run_tasks`] returns for
+/// filtered-grid order (what [`run_grid`] collects for
 /// [`filter_tasks`]). Like [`assemble_report`], this is the merge point
 /// a distributed runner shares with the CLI: same values in, same bytes
 /// out.
@@ -456,19 +501,6 @@ pub fn filtered_report(cfg: &SuiteConfig, filter: &str, values: Vec<Json>) -> Js
         ("filter", Json::from(filter)),
         ("tasks", Json::Arr(rows)),
     ])
-}
-
-/// Resolves a worker-count request: `0` (the "auto" convention shared by
-/// `--jobs 0` and an omitted flag) becomes one worker per available
-/// hardware thread; any other value passes through. Never returns zero.
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
 }
 
 struct Results {
@@ -911,6 +943,7 @@ mod tests {
     use csd_exp::{run_plan_with, ExperimentSpec, NoCache};
     use csd_pipeline::CoreConfig;
     use csd_telemetry::derive_seed;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn grid_covers_every_family() {
@@ -952,9 +985,79 @@ mod tests {
     }
 
     #[test]
-    fn zero_jobs_resolves_to_available_parallelism() {
-        assert!(resolve_jobs(0) >= 1);
-        assert_eq!(resolve_jobs(3), 3);
+    fn a_failed_completion_ends_the_run_with_no_report() {
+        // A journal append that fails (disk full) surfaces as an `Err`
+        // from the completion callback. No unprivileged test can make a
+        // real append fail, so the callback is wrapped to fail on its
+        // third call: the run must end in that error with no report,
+        // claim no further task, and leave the two published results in
+        // the journal.
+        let cfg = SuiteConfig::quick(7, 1);
+        let meta = journal_meta(&cfg, Some("wd/"));
+        let path = std::env::temp_dir().join(format!("csd-append-{}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let journal = Mutex::new(RunJournal::open(&path, &meta).unwrap());
+        let calls = AtomicUsize::new(0);
+        let out = run_grid(
+            &cfg,
+            Some("wd/"),
+            Some(&journal),
+            |tasks, pending, complete| {
+                local_backend(&cfg)(tasks, pending, &|i, v| {
+                    if calls.fetch_add(1, Ordering::SeqCst) == 2 {
+                        return Err("journal append: disk full".to_string());
+                    }
+                    complete(i, v)
+                })
+            },
+        );
+        assert_eq!(out.unwrap_err(), "journal append: disk full");
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            3,
+            "no task ran after the error"
+        );
+        drop(journal);
+        assert_eq!(RunJournal::open(&path, &meta).unwrap().replayed().len(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_empty_filter_is_an_error() {
+        let cfg = SuiteConfig::quick(7, 1);
+        let out = run_grid(&cfg, Some("no-such-task"), None, |_, _, _| {
+            panic!("nothing to hand the backend")
+        });
+        assert_eq!(out.unwrap_err(), "filter \"no-such-task\" matches no task");
+    }
+
+    #[test]
+    fn a_backend_that_skips_a_task_is_an_error() {
+        let cfg = SuiteConfig::quick(7, 1);
+        let out = run_grid(&cfg, Some("table1"), None, |_, _, _| Ok(()));
+        assert_eq!(out.unwrap_err(), "task \"table1\" has no result");
+    }
+
+    #[test]
+    fn duplicate_completions_must_agree() {
+        // A hedged task completes twice; identical bytes are one result,
+        // different bytes are an error.
+        let cfg = SuiteConfig::quick(7, 1);
+        let twice = |second: Json| {
+            run_grid(&cfg, Some("table1"), None, |tasks, _, complete| {
+                let t = &tasks[0];
+                complete(0, t.run(t.seed(cfg.root_seed)))?;
+                complete(0, second)
+            })
+        };
+        let t = crate::tasks::find_task(&cfg, "table1").unwrap();
+        let same = twice(t.run(t.seed(cfg.root_seed))).unwrap();
+        assert_eq!(same.json().pretty(), run_filtered(&cfg, "table1").pretty());
+        let err = twice(Json::from(0u64)).unwrap_err();
+        assert!(
+            err.contains("completed twice with different results"),
+            "{err}"
+        );
     }
 
     #[test]

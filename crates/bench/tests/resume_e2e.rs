@@ -2,7 +2,7 @@
 //! between appends or mid-append — resumes to a report byte-identical
 //! to an uninterrupted run, re-executing only the missing tasks.
 
-use csd_bench::suite::{journal_meta, run_suite, run_suite_resumable, SuiteConfig};
+use csd_bench::suite::{journal_meta, local_backend, run_grid, run_suite, GridOutput, SuiteConfig};
 use csd_telemetry::{Journal, RunJournal};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -14,6 +14,12 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
+}
+
+/// A journaled in-process run of the whole grid, as `suite --resume`
+/// performs it.
+fn resume(cfg: &SuiteConfig, rj: RunJournal) -> Result<GridOutput, String> {
+    run_grid(cfg, None, Some(&Mutex::new(rj)), local_backend(cfg))
 }
 
 /// Counts frames (meta + task records) in a journal file.
@@ -33,8 +39,8 @@ fn resume_from_any_interruption_matches_uninterrupted_bytes() {
     let full = dir.join("full.journal");
     let rj = RunJournal::open(&full, &meta).expect("create journal");
     assert!(rj.replayed().is_empty());
-    let report = run_suite_resumable(&cfg, &Mutex::new(rj)).expect("journaled run");
-    assert_eq!(report.json.pretty(), baseline, "journaled run bytes");
+    let report = resume(&cfg, rj).expect("journaled run");
+    assert_eq!(report.json().pretty(), baseline, "journaled run bytes");
     let all = frames(&full);
     let tasks = all.len() - 1;
     assert!(tasks > 1, "quick grid must have more than one task");
@@ -50,8 +56,8 @@ fn resume_from_any_interruption_matches_uninterrupted_bytes() {
         drop(j);
         let rj = RunJournal::open(&path, &meta).expect("reopen cut journal");
         assert_eq!(rj.replayed().len(), k, "replayed count after {k} appends");
-        let report = run_suite_resumable(&cfg, &Mutex::new(rj)).expect("resumed run");
-        assert_eq!(report.json.pretty(), baseline, "resume after {k} tasks");
+        let report = resume(&cfg, rj).expect("resumed run");
+        assert_eq!(report.json().pretty(), baseline, "resume after {k} tasks");
         // Only the remainder re-ran: k replayed frames + (tasks - k)
         // fresh appends. A journal that re-ran replayed tasks would
         // hold more.
@@ -68,9 +74,9 @@ fn resume_from_any_interruption_matches_uninterrupted_bytes() {
         let rj = RunJournal::open(&path, &meta).expect("reopen torn journal");
         assert!(rj.truncated() > 0, "a mid-frame cut must report truncation");
         assert!(rj.replayed().len() < tasks, "the torn record must be gone");
-        let report = run_suite_resumable(&cfg, &Mutex::new(rj)).expect("resumed run");
+        let report = resume(&cfg, rj).expect("resumed run");
         assert_eq!(
-            report.json.pretty(),
+            report.json().pretty(),
             baseline,
             "resume after {cut}-byte tear"
         );

@@ -26,15 +26,12 @@
 //! dispatched the work. On resume the coordinator re-probes worker
 //! health and dispatches only the tasks the journal is missing.
 
-use csd_bench::suite::{journal_meta, SuiteConfig};
+use csd_bench::suite::{open_journal, SuiteConfig};
 use csd_cluster::{
-    run_specs_distributed, run_suite_distributed_resumable, ClusterConfig, DistributedOutput,
-    WorkerPool,
+    run_specs_distributed, run_suite_distributed_resumable, ClusterConfig, WorkerPool,
 };
 use csd_exp::ExperimentSpec;
-use csd_telemetry::{write_atomic, Json, RunJournal};
-use std::path::PathBuf;
-use std::sync::Mutex;
+use csd_telemetry::{write_atomic, Json};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -185,7 +182,15 @@ fn main() {
                 .map(|f| format!(" filter={f:?}"))
                 .unwrap_or_default()
         );
-        let run_journal = open_journal(journal, resume, &journal_dir, &cfg, filter.as_deref());
+        let run_journal = open_journal(
+            "cluster",
+            journal,
+            resume,
+            &journal_dir,
+            &cfg,
+            filter.as_deref(),
+        )
+        .unwrap_or_else(|e| die(&e));
         run_suite_distributed_resumable(
             &pool,
             &cfg,
@@ -193,13 +198,7 @@ fn main() {
             &cluster,
             run_journal.as_ref(),
         )
-        .map(|(out, telem)| {
-            let checks = match &out {
-                DistributedOutput::Full(report) => Some(report.clone()),
-                DistributedOutput::Filtered(_) => None,
-            };
-            (out.json().pretty(), telem, checks)
-        })
+        .map(|(out, telem)| (out.json().pretty(), telem, Some(out)))
     } else {
         if filter.is_some() {
             die("--filter applies to suite mode, not --spec mode");
@@ -232,70 +231,9 @@ fn main() {
         eprintln!("cluster: wrote {path}");
     }
 
-    if let Some(report) = report {
-        for c in &report.checks {
-            eprintln!(
-                "  [{}] {:<42} {:>12.5}  in [{}, {}]",
-                if c.pass() { "ok" } else { "FAIL" },
-                c.name,
-                c.value,
-                c.lo,
-                c.hi
-            );
-        }
-        let failed = report.failed_checks();
-        if !failed.is_empty() {
-            eprintln!(
-                "cluster: {} check(s) outside tolerance: {}",
-                failed.len(),
-                failed.join(", ")
-            );
-            std::process::exit(1);
-        }
+    if report.is_some_and(|r| !r.print_checks("cluster")) {
+        std::process::exit(1);
     }
-}
-
-/// Opens (or creates) the run journal when journaling was requested —
-/// the same id scheme and meta pinning as the `suite` CLI, so journals
-/// are interchangeable between the two runners.
-fn open_journal(
-    journal: bool,
-    resume: Option<String>,
-    journal_dir: &str,
-    cfg: &SuiteConfig,
-    filter: Option<&str>,
-) -> Option<Mutex<RunJournal>> {
-    if !journal && resume.is_none() {
-        return None;
-    }
-    let id = resume.unwrap_or_else(|| {
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        format!(
-            "{}-{:x}-{t}-{}",
-            cfg.profile,
-            cfg.root_seed,
-            std::process::id()
-        )
-    });
-    let path = PathBuf::from(journal_dir).join(format!("{id}.journal"));
-    let meta = journal_meta(cfg, filter);
-    let rj = RunJournal::open(&path, &meta).unwrap_or_else(|e| die(&e.to_string()));
-    if rj.truncated() > 0 {
-        eprintln!(
-            "cluster: journal {} had a torn tail; truncated {} byte(s)",
-            path.display(),
-            rj.truncated()
-        );
-    }
-    eprintln!(
-        "cluster: journaling to {} ({} completed task(s) replayed; resume with --resume {id})",
-        path.display(),
-        rj.replayed().len()
-    );
-    Some(Mutex::new(rj))
 }
 
 /// Parses one `--spec` argument: inline JSON, or `@path` to a file

@@ -20,8 +20,9 @@
 //!   re-queueing, straggler hedging with first-result-wins dedup, and
 //!   reassignment of everything a dead worker held.
 //! - [`merge`] — how answers become the artifact: per-task documents
-//!   are verified (label + seed) and their `result` subtrees fed to the
-//!   same report assembly the `suite` CLI uses.
+//!   are verified (label + seed) and their `result` subtrees handed to
+//!   the same grid driver (`csd_bench::suite::run_grid`) the `suite`
+//!   CLI uses, which journals them and assembles the report.
 //!
 //! See `DESIGN.md` ("Cluster architecture") and the README's
 //! "Distributed execution" section.
@@ -34,12 +35,10 @@ pub mod sched;
 
 pub use merge::{task_result_from_doc, unit_for_task, verify_exact_labels};
 pub use pool::{WorkerPool, WorkerState};
-pub use sched::{run_units, run_units_with, Board, Claim, ClusterConfig, Completion, WorkUnit};
+pub use sched::{run_units_with, Board, Claim, ClusterConfig, Completion, WorkUnit};
 
-use csd_bench::suite::{
-    assemble_report, filtered_report, replay_into_slots, SuiteConfig, SuiteReport,
-};
-use csd_bench::tasks::{build_tasks, filter_tasks};
+use csd_bench::suite::{run_grid, Complete, SuiteConfig};
+use csd_bench::tasks::TaskDef;
 use csd_exp::ExperimentSpec;
 use csd_telemetry::{Json, RunJournal, ToJson};
 use std::sync::Mutex;
@@ -58,47 +57,22 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// What a distributed suite run produced.
-pub enum DistributedOutput {
-    /// The full-grid report (figure summaries, checks) — byte-identical
-    /// to `suite` with the same profile and seed.
-    Full(SuiteReport),
-    /// The reduced `--filter` document — byte-identical to
-    /// `suite --filter` with the same arguments.
-    Filtered(Json),
-}
-
-impl DistributedOutput {
-    /// The report JSON, whichever shape it is.
-    pub fn json(&self) -> &Json {
-        match self {
-            DistributedOutput::Full(r) => &r.json,
-            DistributedOutput::Filtered(j) => j,
-        }
-    }
-}
+/// What a distributed suite run produced: the same type, and the same
+/// bytes, as a single-node run.
+pub use csd_bench::suite::GridOutput as DistributedOutput;
 
 /// Runs the suite grid (optionally `--filter`-reduced) across the pool
-/// and reassembles the single-node artifact. `cfg` must be a stock
-/// profile (`SuiteConfig::named`) — workers reconstruct it from
-/// `(profile, seed)` alone, so a locally mutated config cannot be
-/// shipped. Returns the output plus the cluster telemetry document.
-pub fn run_suite_distributed(
-    pool: &WorkerPool,
-    cfg: &SuiteConfig,
-    filter: Option<&str>,
-    cluster: &ClusterConfig,
-) -> Result<(DistributedOutput, Json), ClusterError> {
-    run_suite_distributed_resumable(pool, cfg, filter, cluster, None)
-}
-
-/// [`run_suite_distributed`] under an optional write-ahead journal:
-/// tasks already journaled are *not dispatched at all* (their replayed
-/// results merge straight into the artifact), and every fresh
-/// completion is durably journaled the moment its response is verified
-/// — before it counts toward the merge. The journal format is shared
-/// with the single-node `suite`, so a run can crash under one runner
-/// and resume under the other; either way the final artifact is
+/// under an optional write-ahead journal, and reassembles the
+/// single-node artifact. `cfg` must be a stock profile
+/// (`SuiteConfig::named`): workers reconstruct it from `(profile, seed)`
+/// alone, so a locally mutated config cannot be shipped. Returns the
+/// output plus the cluster telemetry document.
+///
+/// This is [`run_grid`] over [`remote_backend`]: tasks already journaled
+/// are not dispatched at all, and every fresh completion is journaled
+/// the moment its response is verified. The journal format is shared
+/// with the single-node `suite`, so a run can crash under one runner and
+/// resume under the other; either way the final artifact is
 /// byte-identical to an uninterrupted run.
 pub fn run_suite_distributed_resumable(
     pool: &WorkerPool,
@@ -107,80 +81,48 @@ pub fn run_suite_distributed_resumable(
     cluster: &ClusterConfig,
     journal: Option<&Mutex<RunJournal>>,
 ) -> Result<(DistributedOutput, Json), ClusterError> {
-    let tasks = match filter {
-        Some(f) => {
-            let tasks = filter_tasks(cfg, f);
-            if tasks.is_empty() {
-                return Err(ClusterError(format!("filter {f:?} matches no task")));
-            }
-            tasks
-        }
-        None => build_tasks(cfg),
-    };
-    verify_exact_labels(cfg, &tasks)?;
-
-    // Replay the journal's completed prefix into grid-order slots.
-    let mut slots: Vec<Option<Json>> = match journal {
-        Some(j) => {
-            let guard = j.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            replay_into_slots(&tasks, cfg.root_seed, &guard).map_err(ClusterError)?
-        }
-        None => (0..tasks.len()).map(|_| None).collect(),
-    };
-    let pending: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i))
-        .collect();
-    let units: Vec<WorkUnit> = pending
-        .iter()
-        .map(|&i| unit_for_task(tasks[i].label(), cfg.profile, cfg.root_seed))
-        .collect();
-
-    // On every winning response: verify it answers our question, then
-    // journal the extracted result bytes before the board records it.
-    let on_won = journal.map(|j| {
-        let tasks = &tasks;
-        let pending = &pending;
-        move |u: usize, body: &[u8]| -> Result<(), String> {
-            let t = &tasks[pending[u]];
-            let seed = t.seed(cfg.root_seed);
-            let result = task_result_from_doc(body, t.label(), seed).map_err(|e| e.0)?;
-            j.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .record(t.label(), seed, result.dump().as_bytes())
-                .map_err(|e| format!("journal append: {e}"))
-        }
-    });
-    let (bodies, mut telemetry) = run_units_with(
-        pool,
-        &units,
-        cluster,
-        on_won
-            .as_ref()
-            .map(|h| h as &(dyn Fn(usize, &[u8]) -> Result<(), String> + Sync)),
-    )?;
-    telemetry.push_member("replayed", Json::from((tasks.len() - pending.len()) as u64));
-
-    for (&i, body) in pending.iter().zip(&bodies) {
-        let t = &tasks[i];
-        slots[i] = Some(task_result_from_doc(
-            body,
-            t.label(),
-            t.seed(cfg.root_seed),
-        )?);
-    }
-    let mut values = Vec::with_capacity(tasks.len());
-    for (t, slot) in tasks.iter().zip(slots) {
-        values.push(slot.ok_or_else(|| {
-            ClusterError(format!("task {:?} has no result after the run", t.label()))
-        })?);
-    }
-    let output = match filter {
-        Some(f) => DistributedOutput::Filtered(filtered_report(cfg, f, values)),
-        None => DistributedOutput::Full(assemble_report(cfg, values)),
-    };
+    let mut telemetry = Json::Null;
+    let output = run_grid(
+        cfg,
+        filter,
+        journal,
+        remote_backend(pool, cfg, cluster, &mut telemetry),
+    )
+    .map_err(ClusterError)?;
     Ok((output, telemetry))
+}
+
+/// The [`run_grid`] backend that shards the pending tasks over the
+/// pool's `csd-serve` workers. Each task goes out as one
+/// [`unit_for_task`] request. Every `200`, hedge copies included, is
+/// verified against the question asked ([`task_result_from_doc`]) and
+/// handed to the driver's completion callback before the board counts
+/// it, so a journaled result is always in place before the win is.
+/// The cluster telemetry document, with a `replayed` count of the tasks
+/// the journal already held, is left in `telemetry`.
+pub fn remote_backend<'a>(
+    pool: &'a WorkerPool,
+    cfg: &'a SuiteConfig,
+    cluster: &'a ClusterConfig,
+    telemetry: &'a mut Json,
+) -> impl FnOnce(&[TaskDef], &[usize], &Complete<'_>) -> Result<(), String> + 'a {
+    move |tasks, pending, complete| {
+        verify_exact_labels(cfg, tasks).map_err(|e| e.0)?;
+        let units: Vec<WorkUnit> = pending
+            .iter()
+            .map(|&i| unit_for_task(tasks[i].label(), cfg.profile, cfg.root_seed))
+            .collect();
+        let (_, mut t) = run_units_with(pool, &units, cluster, &|u, body| {
+            let task = &tasks[pending[u]];
+            let result = task_result_from_doc(body, task.label(), task.seed(cfg.root_seed))
+                .map_err(|e| e.0)?;
+            complete(pending[u], result)
+        })
+        .map_err(|e| e.0)?;
+        t.push_member("replayed", Json::from((tasks.len() - pending.len()) as u64));
+        *telemetry = t;
+        Ok(())
+    }
 }
 
 /// Runs ad-hoc experiment plans across the pool, preserving input
@@ -204,7 +146,7 @@ pub fn run_specs_distributed(
             body: Json::obj([("experiment", spec.to_json())]).dump(),
         })
         .collect();
-    let (bodies, telemetry) = run_units(pool, &units, cluster)?;
+    let (bodies, telemetry) = run_units_with(pool, &units, cluster, &|_, _| Ok(()))?;
     let mut rows = Vec::with_capacity(bodies.len());
     for ((spec, unit), body) in specs.iter().zip(&units).zip(&bodies) {
         let text = std::str::from_utf8(body)

@@ -7,9 +7,9 @@
 //! claim a unit, what happens when a response is a duplicate, when a
 //! retry budget turns into a dead worker — is a synchronous `Board`
 //! method, so the whole policy is unit-testable without opening a
-//! socket. [`run_units`] wraps the board in `Mutex + Condvar` and drives
-//! it with `window` dispatch threads per worker plus a hedge monitor and
-//! a health prober.
+//! socket. [`run_units_with`] wraps the board in `Mutex + Condvar` and
+//! drives it with `window` dispatch threads per worker plus a hedge
+//! monitor and a health prober.
 //!
 //! Correctness leans on one property of the grid: a task's result bytes
 //! are a pure function of `(label, profile, seed)`, so *which* worker
@@ -117,7 +117,7 @@ struct Slot {
 }
 
 /// The scheduler's shared state. All policy lives in these synchronous
-/// methods; [`run_units`] only adds threads, locks, and HTTP.
+/// methods; [`run_units_with`] only adds threads, locks, and HTTP.
 pub struct Board {
     queue: VecDeque<usize>,
     slots: Vec<Slot>,
@@ -338,10 +338,11 @@ fn rewait_timeout<'a, T>(
 }
 
 /// Per-completion hook: called with `(unit index, response body)` for
-/// every winning `200` before it is recorded on the board. The journal
-/// layer uses it to durably persist each completed unit the moment it
-/// lands; returning `Err` fails the run (the durability contract is
-/// broken, so finishing without it would be lying).
+/// every `200`, hedge duplicates included, before it is recorded on the
+/// board. The grid driver uses it to verify, journal and publish each
+/// completed unit the moment it lands; returning `Err` fails the run
+/// (the durability contract is broken, so finishing without it would be
+/// lying).
 pub type OnWon<'a> = dyn Fn(usize, &[u8]) -> Result<(), String> + Sync + 'a;
 
 struct Shared<'a> {
@@ -351,7 +352,7 @@ struct Shared<'a> {
     units: &'a [WorkUnit],
     cfg: &'a ClusterConfig,
     counters: Counters,
-    on_won: Option<&'a OnWon<'a>>,
+    on_won: &'a OnWon<'a>,
 }
 
 impl Shared<'_> {
@@ -444,14 +445,12 @@ impl Shared<'_> {
                     // outside the critical section, and a copy that turns
                     // out to be a hedge duplicate journals identical bytes
                     // (the replay layer tolerates exact duplicates).
-                    if let Some(hook) = self.on_won {
-                        if let Err(e) = hook(u, &r.body) {
-                            let mut board = relock(&self.board);
-                            board.fail(format!("unit {:?}: {e}", self.units[u].label));
-                            drop(board);
-                            self.cv.notify_all();
-                            break;
-                        }
+                    if let Err(e) = (self.on_won)(u, &r.body) {
+                        let mut board = relock(&self.board);
+                        board.fail(format!("unit {:?}: {e}", self.units[u].label));
+                        drop(board);
+                        self.cv.notify_all();
+                        break;
                     }
                     let mut board = relock(&self.board);
                     match board.complete(u, w, r.body) {
@@ -609,28 +608,16 @@ impl Shared<'_> {
 }
 
 /// Runs every unit to completion across the pool and returns the result
-/// bodies in unit order plus the cluster telemetry document. Fails —
-/// rather than hanging or returning a partial artifact — if every
-/// worker dies or a unit exhausts its failure budget.
-pub fn run_units(
-    pool: &WorkerPool,
-    units: &[WorkUnit],
-    cfg: &ClusterConfig,
-) -> Result<(Vec<Vec<u8>>, Json), ClusterError> {
-    run_units_with(pool, units, cfg, None)
-}
-
-/// [`run_units`] with an optional per-completion hook (see [`OnWon`]) —
-/// the seam the write-ahead journal plugs into.
-///
-/// # Errors
-///
-/// Everything [`run_units`] fails on, plus a hook failure.
+/// bodies in unit order plus the cluster telemetry document. `on_won`
+/// sees every `200` before the board records it (see [`OnWon`]); it is
+/// the seam the grid driver's journal plugs into. Fails, rather than
+/// hanging or returning a partial artifact, if every worker dies, a unit
+/// exhausts its failure budget, or `on_won` fails.
 pub fn run_units_with(
     pool: &WorkerPool,
     units: &[WorkUnit],
     cfg: &ClusterConfig,
-    on_won: Option<&OnWon<'_>>,
+    on_won: &OnWon<'_>,
 ) -> Result<(Vec<Vec<u8>>, Json), ClusterError> {
     if pool.is_empty() {
         return Err(ClusterError("worker pool is empty".to_string()));
@@ -665,19 +652,11 @@ pub fn run_units_with(
     if let Some(msg) = board.failure() {
         return Err(ClusterError(msg.to_string()));
     }
-    let mut out = Vec::with_capacity(units.len());
-    for (i, r) in board.into_results().into_iter().enumerate() {
-        match r {
-            Some(bytes) => out.push(bytes),
-            None => {
-                return Err(ClusterError(format!(
-                    "unit {:?} never completed",
-                    units[i].label
-                )))
-            }
-        }
-    }
-    Ok((out, telemetry))
+    let bodies =
+        board.into_results().into_iter().zip(units).map(|(r, u)| {
+            r.ok_or_else(|| ClusterError(format!("unit {:?} never completed", u.label)))
+        });
+    Ok((bodies.collect::<Result<_, _>>()?, telemetry))
 }
 
 #[cfg(test)]
@@ -816,7 +795,7 @@ mod tests {
     #[test]
     fn run_units_rejects_an_empty_pool() {
         let pool = WorkerPool::from_addrs::<&str>(&[]);
-        let err = run_units(&pool, &[], &ClusterConfig::default());
+        let err = run_units_with(&pool, &[], &ClusterConfig::default(), &|_, _| Ok(()));
         assert!(err.is_err());
     }
 }

@@ -5,10 +5,11 @@
 //! that stops accepting and resets its streams, which is what a
 //! `kill -9`'d daemon looks like from the coordinator's side).
 
-use csd_bench::suite::{journal_meta, run_filtered, run_suite, run_suite_resumable, SuiteConfig};
+use csd_bench::suite::{
+    journal_meta, local_backend, run_filtered, run_grid, run_suite, SuiteConfig,
+};
 use csd_cluster::{
-    run_suite_distributed, run_suite_distributed_resumable, ClusterConfig, DistributedOutput,
-    WorkerPool,
+    remote_backend, run_suite_distributed_resumable, ClusterConfig, DistributedOutput, WorkerPool,
 };
 use csd_serve::{Server, ServerConfig, ShutdownHandle};
 use csd_telemetry::{Journal, Json, RunJournal};
@@ -54,11 +55,12 @@ fn counter(telemetry: &Json, name: &str) -> u64 {
 #[test]
 fn three_worker_quick_suite_is_byte_identical_to_cli() {
     let pool = WorkerPool::spawn_local(3, 1).expect("spawn local daemons");
-    let (out, telemetry) = run_suite_distributed(
+    let (out, telemetry) = run_suite_distributed_resumable(
         &pool,
         &SuiteConfig::quick(SEED, 1),
         None,
         &ClusterConfig::default(),
+        None,
     )
     .expect("distributed run");
     let DistributedOutput::Full(report) = out else {
@@ -91,7 +93,8 @@ fn hedged_filtered_run_is_byte_identical_to_cli_filter() {
     };
     let cfg = SuiteConfig::quick(SEED, 1);
     let (out, telemetry) =
-        run_suite_distributed(&pool, &cfg, Some("attack/"), &cluster).expect("distributed run");
+        run_suite_distributed_resumable(&pool, &cfg, Some("attack/"), &cluster, None)
+            .expect("distributed run");
     let DistributedOutput::Filtered(doc) = out else {
         panic!("filtered run must produce the reduced document");
     };
@@ -125,7 +128,8 @@ fn cluster_resumes_a_single_node_journal() {
 
     let full = dir.join("full.journal");
     let rj = RunJournal::open(&full, &meta).expect("create journal");
-    run_suite_resumable(&cfg, &Mutex::new(rj)).expect("single-node journaled run");
+    run_grid(&cfg, None, Some(&Mutex::new(rj)), local_backend(&cfg))
+        .expect("single-node journaled run");
     let frames = Journal::open(&full).expect("reopen journal").records;
     let tasks = frames.len() - 1;
 
@@ -167,6 +171,59 @@ fn cluster_resumes_a_single_node_journal() {
         Journal::open(&cut).expect("reopen").records.len(),
         1 + tasks,
         "no task journaled twice"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_completion_ends_a_distributed_run_with_no_report() {
+    // A journal append that fails (disk full) reaches the scheduler as an
+    // `Err` from the driver's completion callback. No unprivileged test
+    // can make a real append fail, so the callback is wrapped to fail on
+    // the second task: the run must end in that error with no report,
+    // and the journal must hold exactly the one result published before.
+    let cfg = SuiteConfig::quick(SEED, 1);
+    let meta = journal_meta(&cfg, Some("wd/"));
+    let dir = std::env::temp_dir().join(format!("csd-cluster-append-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("fail.journal");
+    let journal = Mutex::new(RunJournal::open(&path, &meta).expect("create journal"));
+    let pool = WorkerPool::spawn_local(1, 1).expect("spawn local daemon");
+    let cluster = ClusterConfig {
+        window: 1,
+        ..ClusterConfig::default()
+    };
+    let mut telemetry = Json::Null;
+    let calls = AtomicU64::new(0);
+    let backend = remote_backend(&pool, &cfg, &cluster, &mut telemetry);
+    let out = run_grid(
+        &cfg,
+        Some("wd/"),
+        Some(&journal),
+        |tasks, pending, complete| {
+            assert_eq!(pending.len(), 8, "every wd task is pending");
+            backend(tasks, pending, &|i, v| {
+                if calls.fetch_add(1, Ordering::SeqCst) == 1 {
+                    return Err("journal append: disk full".to_string());
+                }
+                complete(i, v)
+            })
+        },
+    );
+    let err = out.expect_err("a failed completion must fail the run");
+    assert!(err.contains("journal append: disk full"), "{err}");
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        2,
+        "one worker, window 1: nothing dispatched after the failure"
+    );
+    assert_eq!(telemetry, Json::Null, "a failed run leaves no telemetry");
+    drop(journal);
+    let rj = RunJournal::open(&path, &meta).expect("reopen journal");
+    assert_eq!(
+        rj.replayed().len(),
+        1,
+        "only the published result is journaled"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -281,7 +338,7 @@ fn killing_one_of_three_workers_mid_suite_still_matches_cli_bytes() {
         ..ClusterConfig::default()
     };
     let (out, telemetry) =
-        run_suite_distributed(&pool, &SuiteConfig::quick(SEED, 1), None, &cluster)
+        run_suite_distributed_resumable(&pool, &SuiteConfig::quick(SEED, 1), None, &cluster, None)
             .expect("run must converge on the surviving workers");
     let DistributedOutput::Full(report) = out else {
         panic!("full-grid run must produce the full report");

@@ -10,7 +10,9 @@
 //! - [`run_plan`] — the single warm-fork-measure implementation. It
 //!   warms once (or fetches a parked checkpoint from a
 //!   [`CheckpointProvider`]), snapshots, and forks every leg from the
-//!   shared checkpoint, optionally on a scoped thread pool;
+//!   shared checkpoint, optionally on a thread pool;
+//! - [`run_ordered`] — the one thread pool for plan legs, suite tasks
+//!   and fuzz candidates, returning results in index order;
 //! - [`LegResult`] / [`ExperimentResult`] — typed outcomes with one
 //!   `ToJson` schema shared by the suite, the serving daemon, and the
 //!   examples.
@@ -32,10 +34,12 @@
 
 #![warn(missing_docs)]
 
+pub mod exec;
 pub mod measure;
 pub mod plan;
 pub mod spec;
 
+pub use exec::{resolve_jobs, run_ordered};
 pub use measure::{
     measure_blocks, pipelines, policies, policy_by_name, security_core, security_victims,
     victim_names, warm_up, Pipeline, SecMetrics, CONVENTIONAL_IDLE_GATE, DEFAULT_WATCHDOG,

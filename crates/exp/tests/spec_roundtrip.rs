@@ -16,29 +16,58 @@ fn random_spec(rng: &mut SplitMix64) -> ExperimentSpec {
     let n_legs = rng.range_u64(1, 5) as usize;
     let legs = (0..n_legs)
         .map(|_| {
-            let mode = match rng.range_u64(0, 2) {
+            let mode = match rng.range_u64(0, 3) {
                 0 => LegMode::Base,
                 1 => LegMode::Stealth {
                     watchdog: rng.range_u64(1, 100_000),
                 },
                 _ => LegMode::Devec {
-                    policy: policies[rng.range_u64(0, 2) as usize].to_string(),
+                    policy: policies[rng.range_usize(0, policies.len())].to_string(),
                 },
             };
             Leg {
                 mode,
-                blocks: (rng.range_u64(0, 1) == 1).then(|| rng.range_u64(1, 10_000) as usize),
+                blocks: rng.next_bool().then(|| rng.range_u64(1, 10_000) as usize),
             }
         })
         .collect();
     ExperimentSpec {
-        victim: victims[rng.range_u64(0, victims.len() as u64 - 1) as usize].to_string(),
-        pipeline: pipelines[rng.range_u64(0, 1) as usize].to_string(),
+        victim: victims[rng.range_usize(0, victims.len())].to_string(),
+        pipeline: pipelines[rng.range_usize(0, pipelines.len())].to_string(),
         seed: rng.next_u64(),
         blocks: rng.range_u64(1, 10_000) as usize,
-        cold: rng.range_u64(0, 1) == 1,
+        cold: rng.next_bool(),
         legs,
     }
+}
+
+#[test]
+fn the_generator_draws_every_field_and_leg_shape() {
+    // `range_u64` is half-open: an inclusive bound silently drops the
+    // last choice. Every value the grammar can express must show up.
+    let mut rng = SplitMix64::new(0x5EED_5EED);
+    let specs: Vec<ExperimentSpec> = (0..500).map(|_| random_spec(&mut rng)).collect();
+    let legs = || specs.iter().flat_map(|s| &s.legs);
+    for victim in victim_names() {
+        assert!(specs.iter().any(|s| s.victim == victim), "victim {victim}");
+    }
+    for pipeline in ["opt", "noopt"] {
+        assert!(specs.iter().any(|s| s.pipeline == pipeline), "{pipeline}");
+    }
+    assert!(specs.iter().any(|s| s.cold) && specs.iter().any(|s| !s.cold));
+    for tag in ["base", "stealth", "devec"] {
+        assert!(legs().any(|l| l.mode.tag() == tag), "leg mode {tag}");
+    }
+    for policy in ["always-on", "conventional", "csd-devec"] {
+        assert!(
+            legs().any(|l| l.mode
+                == LegMode::Devec {
+                    policy: policy.to_string()
+                }),
+            "policy {policy}"
+        );
+    }
+    assert!(legs().any(|l| l.blocks.is_some()) && legs().any(|l| l.blocks.is_none()));
 }
 
 #[test]

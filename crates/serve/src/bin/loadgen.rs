@@ -33,6 +33,7 @@
 //! `--shutdown`.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use csd_exp::{ExperimentSpec, LegMode};
 use csd_serve::{Client, ClientResponse, RetryClient};
@@ -80,18 +81,21 @@ impl Mix {
         }
         Ok(Mix { weights })
     }
+}
 
-    fn pick(&self, rng: &mut SplitMix64) -> Kind {
-        let total: u64 = self.weights.iter().map(|(_, w)| w).sum();
-        let mut roll = rng.range_u64(0, total - 1);
-        for (kind, w) in &self.weights {
-            if roll < *w {
-                return *kind;
-            }
-            roll -= w;
+/// Draws one entry of `weighted` with probability proportional to its
+/// weight. The total weight must be non-zero (`Mix::parse` refuses a
+/// zero mix; `CHAOS_OPS` is a constant).
+fn pick_weighted<T: Copy>(weighted: &[(T, u64)], rng: &mut SplitMix64) -> T {
+    let total: u64 = weighted.iter().map(|(_, w)| w).sum();
+    let mut roll = rng.range_u64(0, total);
+    for &(item, w) in weighted {
+        if roll < w {
+            return item;
         }
-        self.weights[0].0
+        roll -= w;
     }
+    unreachable!("a roll below the total weight lands on an entry")
 }
 
 #[derive(Default)]
@@ -413,7 +417,8 @@ fn run_connection(addr: &str, n: usize, mix: &Mix, conn_seed: u64, global_seed: 
     let mut out = Outcome::default();
     let mut client = RetryClient::new(addr, derive_seed(conn_seed, "backoff"));
     for i in 0..n {
-        let body = request_body(mix.pick(&mut rng), &mut rng, conn_seed, global_seed, i);
+        let kind = pick_weighted(&mix.weights, &mut rng);
+        let body = request_body(kind, &mut rng, conn_seed, global_seed, i);
         let t0 = Instant::now();
         let resolved = client.post_json("/v1/experiments", &body, 50).ok();
         out.latency
@@ -451,9 +456,9 @@ fn request_body(
     match kind {
         Kind::Warm => {
             let victims = ["aes-enc", "blowfish-enc", "rsa-enc"];
-            let victim = victims[rng.range_u64(0, victims.len() as u64 - 1) as usize];
-            let stealth = rng.range_u64(0, 1) == 1;
-            let watchdog = [1000u64, 2000][rng.range_u64(0, 1) as usize];
+            let victim = victims[rng.range_usize(0, victims.len())];
+            let stealth = rng.range_u64(0, 2) == 1;
+            let watchdog = [1000u64, 2000][rng.range_usize(0, 2)];
             let mode = if stealth {
                 LegMode::Stealth { watchdog }
             } else {
@@ -510,18 +515,6 @@ const CHAOS_OPS: [(ChaosOp, u64); 7] = [
     (ChaosOp::Saturate, 1),
 ];
 
-fn pick_chaos(rng: &mut SplitMix64) -> ChaosOp {
-    let total: u64 = CHAOS_OPS.iter().map(|(_, w)| w).sum();
-    let mut roll = rng.range_u64(0, total - 1);
-    for (op, w) in CHAOS_OPS {
-        if roll < w {
-            return op;
-        }
-        roll -= w;
-    }
-    ChaosOp::Panic
-}
-
 /// Drives `requests` seeded hostile interactions and verifies the daemon
 /// absorbs all of them. Exits non-zero on the first accounting failure:
 /// an interaction that got a garbled response, hung past its budget, or
@@ -546,7 +539,7 @@ fn run_chaos(addr: &str, requests: usize, seed: u64, slow_ms: u64) {
     let mut rejected_503 = 0u64;
     let mut failures: Vec<String> = Vec::new();
     for i in 0..requests {
-        let op = pick_chaos(&mut rng);
+        let op = pick_weighted(&CHAOS_OPS, &mut rng);
         counts[op_index(op)] += 1;
         let verdict = match op {
             ChaosOp::Panic => chaos_fault_panic(addr, false),
@@ -720,9 +713,7 @@ fn chaos_malformed(addr: &str, rng: &mut SplitMix64) -> Result<(), String> {
     let mut s = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     s.set_read_timeout(Some(Duration::from_secs(10)))
         .map_err(|e| format!("timeout: {e}"))?;
-    let mut garbage: Vec<u8> = (0..rng.range_u64(8, 64))
-        .map(|_| rng.range_u64(0, 255) as u8)
-        .collect();
+    let mut garbage: Vec<u8> = (0..rng.range_u64(8, 64)).map(|_| rng.next_u8()).collect();
     garbage.extend_from_slice(b"\r\n\r\n"); // force the parser to a verdict
     if s.write_all(&garbage).is_err() {
         return Ok(());
@@ -861,7 +852,54 @@ fn die(msg: &str) -> ! {
 
 #[cfg(test)]
 mod tests {
-    use super::load_exit_code;
+    use super::{load_exit_code, pick_weighted, Kind, Mix, CHAOS_OPS};
+    use csd_telemetry::SplitMix64;
+
+    /// Draws `n` picks and returns each entry's share of them.
+    fn shares<T: Copy + PartialEq>(weighted: &[(T, u64)], n: u64) -> Vec<f64> {
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut counts = vec![0u64; weighted.len()];
+        for _ in 0..n {
+            let got = pick_weighted(weighted, &mut rng);
+            let i = weighted.iter().position(|(t, _)| *t == got).unwrap();
+            counts[i] += 1;
+        }
+        counts.iter().map(|&c| c as f64 / n as f64).collect()
+    }
+
+    #[test]
+    fn every_entry_is_drawn_at_its_weight() {
+        // The last entry (`Saturate`, weight 1 of 14) included: an
+        // inclusive roll over a half-open range used to starve it.
+        let total: u64 = CHAOS_OPS.iter().map(|(_, w)| w).sum();
+        for ((op, w), share) in CHAOS_OPS.iter().zip(shares(&CHAOS_OPS, 140_000)) {
+            let want = *w as f64 / total as f64;
+            assert!(
+                (share - want).abs() < 0.1 * want,
+                "{op:?}: drawn {share:.4}, weight share {want:.4}"
+            );
+        }
+        let mix = Mix::parse("warm=8,cold=1,task=1").unwrap();
+        for ((kind, w), share) in mix.weights.iter().zip(shares(&mix.weights, 100_000)) {
+            let want = *w as f64 / 10.0;
+            assert!(
+                (share - want).abs() < 0.1 * want,
+                "{kind:?}: drawn {share:.4}, weight share {want:.4}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_single_entry_mix_always_draws_it() {
+        let mix = Mix::parse("warm=1").unwrap();
+        let mut rng = SplitMix64::new(1);
+        for _ in 0..100 {
+            assert_eq!(pick_weighted(&mix.weights, &mut rng), Kind::Warm);
+        }
+        // A zero-weight entry is never drawn.
+        let mix = Mix::parse("cold=0,devec=3").unwrap();
+        assert!((0..100).all(|_| pick_weighted(&mix.weights, &mut rng) == Kind::Devec));
+    }
 
     #[test]
     fn summary_write_failure_fails_the_run() {

@@ -8,7 +8,7 @@
 //! cannot reach a crates.io registry, so JSON emission, deterministic
 //! seeding, and event plumbing are all implemented in-tree.
 //!
-//! Four pieces:
+//! Six pieces:
 //!
 //! - [`json`] — a small JSON document model ([`Json`]) with a
 //!   *deterministic* serializer (stable key order, shortest-roundtrip
